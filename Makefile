@@ -21,11 +21,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Short fuzz runs over the two binary/JSON loaders — enough to catch
-# regressions in the hardened parsers without an open-ended campaign.
+# Short fuzz runs over the hardened loaders (weights, params) and the
+# weights-trailer checksum verifier — enough to catch regressions in the
+# parsers without an open-ended campaign.
 fuzz-smoke:
 	$(GO) test ./internal/models -run '^$$' -fuzz 'FuzzLoadWeights' -fuzztime 10s
 	$(GO) test ./internal/snapea -run '^$$' -fuzz 'FuzzLoadParams' -fuzztime 10s
+	$(GO) test ./internal/integrity -run '^$$' -fuzz 'FuzzVerifyWeights' -fuzztime 10s
 
 # Worker-count benchmark sweep over the parallelized hot paths; results
 # land in BENCH_PR7.json (name → ns/op, allocs/op, workers), the
@@ -33,7 +35,7 @@ fuzz-smoke:
 # BenchmarkLayerPlanRunMetrics disabled/enabled pair is the guard that
 # disabled-metrics instrumentation stays free on the hot path.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkConv2DForward|BenchmarkForwardGEMM|BenchmarkLayerPlanRun|BenchmarkOptimizerRunCtx' \
+	$(GO) test -run '^$$' -bench 'BenchmarkConv2DForward|BenchmarkLayerPlanRun|BenchmarkOptimizerRunCtx' \
 		-benchmem -count=3 ./internal/nn ./internal/snapea | $(GO) run ./internal/tools/benchjson -o BENCH_PR7.json
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/metrics
 

@@ -159,31 +159,27 @@ func denseFaultyFeatures(p *Prepared, inj *faults.Injector) [][]float32 {
 			clones[n.Name] = &c
 		}
 	}
-	exec := func(node *nn.Node, ins []*tensor.Tensor) (*tensor.Tensor, bool) {
-		if c, ok := clones[node.Name]; ok {
-			return c.Forward(ins), true
-		}
-		return nil, false
-	}
+	// A cloned conv also corrupts its output activations before
+	// downstream nodes and the feature tap read them.
 	seq := make(map[string]int)
-	var mutate nn.MutateHook
-	if inj != nil {
-		mutate = func(node *nn.Node, out *tensor.Tensor) {
-			if _, ok := node.Layer.(*nn.Conv2D); !ok {
-				return
-			}
-			inj.CorruptActivations(fmt.Sprintf("%s#%d", node.Name, seq[node.Name]), out.Data())
-			seq[node.Name]++
+	exec := func(node *nn.Node, ins []*tensor.Tensor) (*tensor.Tensor, bool) {
+		c, ok := clones[node.Name]
+		if !ok {
+			return nil, false
 		}
+		out := c.Forward(ins)
+		inj.CorruptActivations(fmt.Sprintf("%s#%d", node.Name, seq[node.Name]), out.Data())
+		seq[node.Name]++
+		return out, true
 	}
 	feats := make([][]float32, len(p.TestImgs))
 	for i, img := range p.TestImgs {
 		var feat []float32
-		m.Graph.ForwardHooked(img, func(name string, t *tensor.Tensor) {
+		m.Graph.ForwardExec(img, func(name string, t *tensor.Tensor) {
 			if name == m.FeatureNode {
 				feat = append([]float32(nil), t.Data()...)
 			}
-		}, exec, mutate)
+		}, exec)
 		feats[i] = feat
 	}
 	return feats

@@ -3,8 +3,6 @@ package nn
 import (
 	"fmt"
 
-	"snapea/internal/metrics"
-	"snapea/internal/parallel"
 	"snapea/internal/tensor"
 )
 
@@ -70,71 +68,10 @@ func (c *Conv2D) OutShape(ins []tensor.Shape) tensor.Shape {
 	return tensor.Shape{N: in.N, C: c.OutC, H: oh, W: ow}
 }
 
-// Forward implements Layer with a direct (non-im2col) convolution. The
-// (batch, output-channel) units are independent — each writes one
-// disjoint output plane from read-only inputs — so they fan out across
-// the worker pool; per-unit arithmetic is untouched, which keeps the
-// output bit-identical for every worker count.
+// Forward implements Layer: the im2col + GEMM convolution of its single
+// input (ForwardGEMM).
 func (c *Conv2D) Forward(ins []*tensor.Tensor) *tensor.Tensor {
-	in := one(ins)
-	os := c.OutShape([]tensor.Shape{in.Shape()})
-	out := tensor.New(os)
-	s := in.Shape()
-	parallel.For(s.N*c.OutC, func(_, u int) {
-		c.forwardPlane(u/c.OutC, u%c.OutC, in, out, s, os)
-	})
-	if metrics.Enabled() {
-		// One batch of adds per forward pass (not per plane or window):
-		// the totals are pure functions of the layer geometry, so the
-		// deterministic snapshot cannot see the worker count.
-		metrics.C("nn.conv.forward_calls", nil).Add(1)
-		metrics.C("nn.conv.planes", nil).Add(int64(s.N) * int64(c.OutC))
-		metrics.C("nn.conv.macs", nil).Add(int64(s.N) * int64(c.OutC) * int64(os.H) * int64(os.W) * int64(c.KernelSize()))
-	}
-	return out
-}
-
-// forwardPlane computes output channel k of batch element n.
-func (c *Conv2D) forwardPlane(n, k int, in, out *tensor.Tensor, s, os tensor.Shape) {
-	inCg := c.InC / c.Groups
-	outCg := c.OutC / c.Groups
-	ind := in.Data()
-	outd := out.Data()
-	wd := c.Weights.Data()
-	g := k / outCg
-	cBase := g * inCg
-	wBase := k * inCg * c.KH * c.KW
-	for oy := 0; oy < os.H; oy++ {
-		iy0 := oy*c.StrideH - c.PadH
-		for ox := 0; ox < os.W; ox++ {
-			ix0 := ox*c.StrideW - c.PadW
-			acc := c.Bias[k]
-			for ci := 0; ci < inCg; ci++ {
-				cIn := cBase + ci
-				inBase := ((n*s.C + cIn) * s.H) * s.W
-				wBaseC := wBase + ci*c.KH*c.KW
-				for ky := 0; ky < c.KH; ky++ {
-					iy := iy0 + ky
-					if iy < 0 || iy >= s.H {
-						continue
-					}
-					rowBase := inBase + iy*s.W
-					wRow := wBaseC + ky*c.KW
-					for kx := 0; kx < c.KW; kx++ {
-						ix := ix0 + kx
-						if ix < 0 || ix >= s.W {
-							continue
-						}
-						acc += ind[rowBase+ix] * wd[wRow+kx]
-					}
-				}
-			}
-			if c.ReLU && acc < 0 {
-				acc = 0
-			}
-			outd[((n*os.C+k)*os.H+oy)*os.W+ox] = acc
-		}
-	}
+	return c.ForwardGEMM(one(ins))
 }
 
 // PreActivation computes the convolution without the fused ReLU. The

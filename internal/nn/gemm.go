@@ -6,25 +6,19 @@ import (
 	"snapea/internal/tensor"
 )
 
-// This file provides the classical im2col + GEMM formulation of
-// convolution. It exists as an independently-derived implementation to
-// cross-validate the direct convolution in conv.go (the tests assert the
-// two agree to float tolerance on every layer geometry the evaluated
-// networks use), and as the dense-compute reference the EYERISS-like
-// baseline conceptually executes.
+// This file is the dense convolution: im2col + GEMM. Every dense conv in
+// the repo (the nn graph, calibration, head training, the experiments,
+// and the perf ledger's dense reference) runs through ForwardGEMM. Each
+// output accumulates bias first and then its taps in (c, ky, kx) order,
+// one product at a time, so the result is bit-identical to a direct
+// window-at-a-time loop over the same taps (the oracle in
+// direct_test.go).
 
-// Im2Col expands the input's convolution windows into a row-major matrix
-// of shape (outH*outW) × (inCg*KH*KW) for the given batch element and
-// channel group. Out-of-bounds taps contribute zeros.
-func Im2Col(c *Conv2D, in *tensor.Tensor, n, group int) ([]float32, int, int) {
-	return Im2ColInto(c, in, n, group, nil)
-}
-
-// Im2ColInto is Im2Col writing into buf when its capacity suffices,
-// allocating only otherwise — the engine's workers reuse one buffer per
-// worker across every (batch, group) unit, which removes the per-window
-// allocation that dominated GoogLeNet's 1×1-heavy layers. Every slot is
-// written (zeros included), so a dirty buffer is safe to reuse.
+// Im2ColInto expands the input's convolution windows into a row-major
+// matrix of shape (outH*outW) × (inCg*KH*KW) for the given batch element
+// and channel group, writing into buf when its capacity suffices and
+// allocating only otherwise. Out-of-bounds taps contribute zeros. Every
+// slot is written, so a dirty buffer is safe to reuse.
 func Im2ColInto(c *Conv2D, in *tensor.Tensor, n, group int, buf []float32) ([]float32, int, int) {
 	s := in.Shape()
 	inCg := c.InC / c.Groups
@@ -64,18 +58,19 @@ func Im2ColInto(c *Conv2D, in *tensor.Tensor, n, group int, buf []float32) ([]fl
 	return out, rows, cols
 }
 
-// MatMul computes C = A×Bᵀ where A is m×k (row-major) and B is n×k
-// (row-major), writing the m×n result into dst. This layout matches
-// im2col rows times kernel rows.
-func MatMul(a []float32, m, k int, b []float32, n int, dst []float32) {
-	if len(a) < m*k || len(b) < n*k || len(dst) < m*n {
+// MatMul computes C = A×Bᵀ + bias where A is m×k (row-major), B is n×k
+// (row-major) and bias has length n, writing the m×n result into dst.
+// This layout matches im2col rows times kernel rows. Each accumulator
+// starts at its bias and adds the k products in order.
+func MatMul(a []float32, m, k int, b []float32, n int, bias, dst []float32) {
+	if len(a) < m*k || len(b) < n*k || len(bias) < n || len(dst) < m*n {
 		panic("nn: MatMul dimension mismatch")
 	}
 	for i := 0; i < m; i++ {
 		ar := a[i*k : (i+1)*k]
 		for j := 0; j < n; j++ {
 			br := b[j*k : (j+1)*k]
-			var acc float32
+			acc := bias[j]
 			for t := 0; t < k; t++ {
 				acc += ar[t] * br[t]
 			}
@@ -90,11 +85,13 @@ type gemmScratch struct {
 	res []float32
 }
 
-// ForwardGEMM computes the convolution via im2col + GEMM. It produces
-// the same output as Forward (including the fused ReLU) and exists for
-// cross-validation. The (batch, group) units fan out across the worker
-// pool; each worker owns one scratch pair, so the hot loop allocates
-// only once per worker instead of once per unit.
+// ForwardGEMM computes the convolution (including the fused ReLU) via
+// im2col + GEMM; Forward is this on its single input. The (batch,
+// group) units are independent — each writes disjoint output planes
+// from read-only inputs — so they fan out across the worker pool with
+// untouched per-unit arithmetic, which keeps the output bit-identical
+// for every worker count. Each worker owns one scratch pair, so the hot
+// loop allocates only once per worker instead of once per unit.
 func (c *Conv2D) ForwardGEMM(in *tensor.Tensor) *tensor.Tensor {
 	s := in.Shape()
 	os := c.OutShape([]tensor.Shape{s})
@@ -105,14 +102,19 @@ func (c *Conv2D) ForwardGEMM(in *tensor.Tensor) *tensor.Tensor {
 	ksz := c.KernelSize()
 	units := s.N * c.Groups
 	scratch := make([]gemmScratch, parallel.Workers(units))
-	// Scratch-reuse accounting is inherently worker-dependent (one
-	// buffer grows per worker, so more workers means more first-touch
-	// allocations) — it lives in the runtime section of the snapshot,
-	// outside the deterministic byte-identity guarantee.
 	var allocC, reuseC *metrics.Counter
 	if metrics.Enabled() {
-		metrics.C("nn.gemm.forward_calls", nil).Add(1)
-		metrics.C("nn.gemm.units", nil).Add(int64(units))
+		// One batch of adds per forward pass (not per plane or window):
+		// the totals are pure functions of the layer geometry, so the
+		// deterministic snapshot cannot see the worker count.
+		metrics.C("nn.conv.forward_calls", nil).Add(1)
+		metrics.C("nn.conv.planes", nil).Add(int64(s.N) * int64(c.OutC))
+		metrics.C("nn.conv.macs", nil).Add(int64(s.N) * int64(c.OutC) * int64(os.H) * int64(os.W) * int64(ksz))
+		// Scratch-reuse accounting is inherently worker-dependent (one
+		// buffer grows per worker, so more workers means more
+		// first-touch allocations) — it lives in the runtime section of
+		// the snapshot, outside the deterministic byte-identity
+		// guarantee.
 		allocC = metrics.RC("nn.gemm.scratch_allocs", nil)
 		reuseC = metrics.RC("nn.gemm.scratch_reuse", nil)
 	}
@@ -134,13 +136,11 @@ func (c *Conv2D) ForwardGEMM(in *tensor.Tensor) *tensor.Tensor {
 		}
 		res := sc.res[:rows*outCg]
 		wBase := g * outCg * ksz
-		MatMul(cols, rows, k, wd[wBase:wBase+outCg*ksz], outCg, res)
+		MatMul(cols, rows, k, wd[wBase:wBase+outCg*ksz], outCg, c.Bias[g*outCg:(g+1)*outCg], res)
 		for kc := 0; kc < outCg; kc++ {
-			oc := g*outCg + kc
-			bias := c.Bias[oc]
-			dst := outd[(n*os.C+oc)*os.H*os.W:]
+			dst := outd[(n*os.C+g*outCg+kc)*os.H*os.W:]
 			for r := 0; r < rows; r++ {
-				v := res[r*outCg+kc] + bias
+				v := res[r*outCg+kc]
 				if c.ReLU && v < 0 {
 					v = 0
 				}

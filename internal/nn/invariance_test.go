@@ -19,7 +19,7 @@ func invarianceWorkerCounts() []int {
 	return counts
 }
 
-// TestConvForwardWorkerInvariance asserts the direct convolution output
+// TestConvForwardWorkerInvariance asserts the dense convolution output
 // is byte-identical for every worker count: parallelism must never
 // change a result, only its wall-clock cost.
 func TestConvForwardWorkerInvariance(t *testing.T) {
@@ -67,7 +67,7 @@ func TestForwardGEMMWorkerInvariance(t *testing.T) {
 func TestIm2ColIntoReusesBuffer(t *testing.T) {
 	c := randConv(t, 3, 4, 3, 1, 1, 1, true, 95)
 	in := randInput(tensor.Shape{N: 1, C: 3, H: 7, W: 7}, 96)
-	clean, rows, cols := Im2Col(c, in, 0, 0)
+	clean, rows, cols := Im2ColInto(c, in, 0, 0, nil)
 
 	dirty := make([]float32, rows*cols)
 	for i := range dirty {

@@ -116,21 +116,6 @@ type Exec func(node *Node, ins []*tensor.Tensor) (*tensor.Tensor, bool)
 // ForwardExec runs the graph with an optional per-node executor override
 // and an optional output tap.
 func (g *Graph) ForwardExec(in *tensor.Tensor, tap func(node string, out *tensor.Tensor), exec Exec) *tensor.Tensor {
-	return g.ForwardHooked(in, tap, exec, nil)
-}
-
-// MutateHook may modify a freshly computed node output in place, before
-// the value is published to downstream nodes and to the tap. The
-// fault-injection subsystem uses this to model soft errors in the
-// activation buffers of the dense reference path; a nil hook costs one
-// pointer test per node.
-type MutateHook func(node *Node, out *tensor.Tensor)
-
-// ForwardHooked runs the graph with an optional per-node executor
-// override, an optional in-place output mutator, and an optional tap.
-// The mutator runs before the tap, so taps (and therefore feature
-// captures) observe the mutated values downstream layers consume.
-func (g *Graph) ForwardHooked(in *tensor.Tensor, tap func(node string, out *tensor.Tensor), exec Exec, mutate MutateHook) *tensor.Tensor {
 	vals := make(map[string]*tensor.Tensor, len(g.nodes)+1)
 	vals[InputName] = in
 	ins := make([]*tensor.Tensor, 0, 4)
@@ -150,9 +135,6 @@ func (g *Graph) ForwardHooked(in *tensor.Tensor, tap func(node string, out *tens
 		}
 		if !done {
 			out = n.Layer.Forward(ins)
-		}
-		if mutate != nil {
-			mutate(n, out)
 		}
 		vals[n.Name] = out
 		if tap != nil {

@@ -47,20 +47,3 @@ func BenchmarkConv2DForward(b *testing.B) {
 		})
 	}
 }
-
-func BenchmarkForwardGEMM(b *testing.B) {
-	c, in := benchConv()
-	for _, workers := range benchWorkerCounts() {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			parallel.SetLimit(workers)
-			defer parallel.SetLimit(0)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if out := c.ForwardGEMM(in); out == nil {
-					b.Fatal("no output")
-				}
-			}
-		})
-	}
-}

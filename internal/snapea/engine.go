@@ -238,24 +238,8 @@ func (p *LayerPlan) Run(in *tensor.Tensor, opts RunOpts) (*tensor.Tensor, *Layer
 	if s.C != p.inShape.C || s.H != p.inShape.H || s.W != p.inShape.W {
 		panic(fmt.Sprintf("snapea: %s compiled for %v, got %v", p.Node, p.inShape, s))
 	}
-	os := p.OutShape(s.N)
-	out := tensor.New(os)
-	tr := &LayerTrace{
-		Node:       p.Node,
-		KernelSize: p.Conv.KernelSize(),
-		Batch:      s.N,
-		OutC:       p.outC,
-		OutH:       p.outH,
-		OutW:       p.outW,
-	}
-	winPerImg := p.outC * p.outH * p.outW
-	tr.Windows = int64(s.N * winPerImg)
-	tr.DenseOps = tr.Windows * int64(tr.KernelSize)
-	tr.InputElems = int64(s.N) * int64(s.C*s.H*s.W)
-	tr.WeightElems = int64(p.outC) * int64(tr.KernelSize)
-	if opts.CollectWindows {
-		tr.Ops = make([]int32, tr.Windows)
-	}
+	out := tensor.New(p.OutShape(s.N))
+	tr := p.newTrace(s, opts)
 
 	// (kernel, image) pairs write disjoint output planes (and index-keyed
 	// Ops slots), so they fan out across the worker pool as strip-granular
@@ -297,6 +281,27 @@ func (p *LayerPlan) Run(in *tensor.Tensor, opts RunOpts) (*tensor.Tensor, *Layer
 		p.recordMetrics(tr)
 	}
 	return out, tr
+}
+
+// newTrace returns the trace of one layer run on an input of shape s,
+// with the geometry counters filled in.
+func (p *LayerPlan) newTrace(s tensor.Shape, opts RunOpts) *LayerTrace {
+	tr := &LayerTrace{
+		Node:        p.Node,
+		KernelSize:  p.Conv.KernelSize(),
+		Batch:       s.N,
+		OutC:        p.outC,
+		OutH:        p.outH,
+		OutW:        p.outW,
+		Windows:     int64(s.N) * int64(p.outC*p.outH*p.outW),
+		InputElems:  int64(s.N) * int64(s.C*s.H*s.W),
+		WeightElems: int64(p.outC) * int64(p.Conv.KernelSize()),
+	}
+	tr.DenseOps = tr.Windows * int64(tr.KernelSize)
+	if opts.CollectWindows {
+		tr.Ops = make([]int32, tr.Windows)
+	}
+	return tr
 }
 
 // recordMetrics reports one completed layer execution to the metrics
@@ -507,60 +512,6 @@ func (p *LayerPlan) borderCols(ck *compiledKernel, ind, outd []float32, inBase, 
 			tr.Ops[idx] = ops
 		}
 	}
-}
-
-// window executes one interior convolution window with early activation.
-// base is the input index of the window's top-left element in the
-// kernel's channel group. It is the retained scalar reference the
-// strip-mined interior kernel is validated against (runReference); the
-// production interior path is runStrip in engine_strip.go.
-func (p *LayerPlan) window(ck *compiledKernel, ind []float32, base int, st *LayerTrace, opts RunOpts) (float32, int32) {
-	acc := ck.bias
-	w, offs := ck.w, ck.offs
-	i := 0
-	// Speculation prefix.
-	for ; i < ck.numSpec; i++ {
-		acc += w[i] * ind[base+offs[i]]
-	}
-	if ck.numSpec > 0 && acc <= ck.th {
-		st.SpecZero++
-		if opts.CollectPrediction {
-			full := acc
-			for j := i; j < len(w); j++ {
-				full += w[j] * ind[base+offs[j]]
-			}
-			if full < 0 {
-				st.TruthNeg++
-				st.SpecTN++
-			} else {
-				st.SpecFN++
-			}
-		}
-		return 0, int32(ck.numSpec)
-	}
-	// Positive region: the sum only grows; no checks needed.
-	for ; i < ck.posEnd; i++ {
-		acc += w[i] * ind[base+offs[i]]
-	}
-	// Negative region: the sum only shrinks; first sign flip is final.
-	for ; i < len(w); i++ {
-		acc += w[i] * ind[base+offs[i]]
-		if acc < 0 {
-			i++
-			st.SignZero++
-			if opts.CollectPrediction {
-				st.TruthNeg++
-			}
-			return 0, int32(i)
-		}
-	}
-	if opts.CollectPrediction && acc < 0 {
-		st.TruthNeg++
-	}
-	if acc < 0 {
-		return 0, int32(i)
-	}
-	return acc, int32(i)
 }
 
 // windowBorder is the padded-window path: out-of-bounds taps read zero

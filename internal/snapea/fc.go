@@ -151,50 +151,6 @@ func (p *FCPlan) fcSetup(in *tensor.Tensor, opts RunOpts) (*tensor.Tensor, *Laye
 	return out, tr
 }
 
-// runFCReference is the retained serial per-neuron path — the original
-// Run loop, kept as the oracle the lane-batched Run is validated
-// against (TestFCStripEquivalence).
-func (p *FCPlan) runFCReference(in *tensor.Tensor, opts RunOpts) (*tensor.Tensor, *LayerTrace) {
-	out, tr := p.fcSetup(in, opts)
-	s := in.Shape()
-	per := p.FC.In
-	ind := in.Data()
-	outd := out.Data()
-	for n := 0; n < s.N; n++ {
-		x := ind[n*per : (n+1)*per]
-		for o := 0; o < p.FC.Out; o++ {
-			rk := &p.kernels[o]
-			acc := p.FC.Bias[o]
-			i := 0
-			for ; i < rk.PosEnd; i++ {
-				acc += rk.Weights[i] * x[rk.Index[i]]
-			}
-			for ; i < len(rk.Weights); i++ {
-				acc += rk.Weights[i] * x[rk.Index[i]]
-				if acc < 0 {
-					i++
-					tr.SignZero++
-					acc = 0
-					break
-				}
-			}
-			if acc < 0 {
-				acc = 0
-			}
-			widx := n*p.FC.Out + o
-			outd[widx] = acc
-			tr.TotalOps += int64(i)
-			if tr.Ops != nil {
-				tr.Ops[widx] = int32(i)
-			}
-			if opts.CollectPrediction && acc == 0 {
-				tr.TruthNeg++
-			}
-		}
-	}
-	return out, tr
-}
-
 // EnableFC extends a compiled network with exact early termination for
 // every ReLU-fused fully-connected layer (the classifier head has no
 // ReLU and stays dense). Traces from these layers appear under their

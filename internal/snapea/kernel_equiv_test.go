@@ -86,10 +86,10 @@ func equivConvPlan(t *testing.T, name string, conv *nn.Conv2D, inShape tensor.Sh
 // (> maxStripLanes lanes).
 func TestStripEquivalenceGeometries(t *testing.T) {
 	type geom struct {
-		name           string
-		conv           *nn.Conv2D
-		h, w           int
-		strideW, padW  int // 0 = keep symmetric
+		name          string
+		conv          *nn.Conv2D
+		h, w          int
+		strideW, padW int // 0 = keep symmetric
 	}
 	asym := func(c *nn.Conv2D, sw, pw int) *nn.Conv2D {
 		c.StrideW, c.PadW = sw, pw
@@ -250,10 +250,13 @@ func TestStripEquivalenceFaults(t *testing.T) {
 	}
 }
 
-// TestRunFixedStripEquivalence validates the strip-mined fixed-point
-// path against its retained serial reference over the same geometry
-// corners as the float suite. Integer accumulation is order-safe, so
-// the contract here is about window partitioning and op accounting.
+// TestRunFixedStripEquivalence cross-checks the Q7.8 engine against the
+// float strip-mined engine over the same geometry corners as the float
+// suite. Weights, biases and thresholds are multiples of 1/256 and the
+// inputs are small integers, so every product and partial sum is exact
+// both in float32 and in the fixed-point accumulator: neither datapath
+// rounds, and RunFixed must reproduce Run's outputs, per-window op
+// counts and traces bit for bit.
 func TestRunFixedStripEquivalence(t *testing.T) {
 	asym := func(c *nn.Conv2D, sw, pw int) *nn.Conv2D {
 		c.StrideW, c.PadW = sw, pw
@@ -271,6 +274,12 @@ func TestRunFixedStripEquivalence(t *testing.T) {
 		{name: "empty_interior", conv: nn.NewConv2D(3, 4, 3, 3, 1, 2, 1, true), h: 2, w: 2},
 		{name: "wide_row_multi_span", conv: nn.NewConv2D(2, 3, 3, 3, 1, 1, 1, true), h: 4, w: maxStripLanes + 44},
 	}
+	// q78 draws a multiple of 1/256 in [-lim, lim]/256.
+	q78 := func(rng *tensor.RNG, std float64, lim int) float32 {
+		m := int(math.Round(rng.Norm() * std))
+		m = max(-lim, min(lim, m))
+		return float32(m) / 256
+	}
 	for i, g := range cases {
 		for _, exact := range []bool{true, false} {
 			label := g.name
@@ -280,16 +289,40 @@ func TestRunFixedStripEquivalence(t *testing.T) {
 				label += "/predictive"
 			}
 			t.Run(label, func(t *testing.T) {
-				inShape := tensor.Shape{N: 1, C: g.conv.InC, H: g.h, W: g.w}
-				plan, in := equivConvPlan(t, g.name, g.conv, inShape, uint64(300+i), exact)
+				rng := tensor.NewRNG(uint64(300 + i))
+				conv := g.conv
+				w := conv.Weights.Data()
+				for j := range w {
+					w[j] = q78(rng, 48, 96)
+				}
+				for k := range conv.Bias {
+					conv.Bias[k] = q78(rng, 24, 64)
+				}
+				params := AllExact(conv.OutC)
+				if !exact {
+					for k := 0; k < conv.OutC; k += 2 {
+						params[k] = KernelParam{Th: float32(rng.Uint64()%26) / 256, N: 2 + k%5}
+					}
+				}
+				inShape := tensor.Shape{N: 1, C: conv.InC, H: g.h, W: g.w}
+				plan := NewLayerPlan(g.name, conv, inShape, params, NegByMagnitude)
+				in := tensor.New(tensor.Shape{N: 2, C: conv.InC, H: g.h, W: g.w})
+				for j, d := 0, in.Data(); j < len(d); j++ {
+					d[j] = float32(int(rng.Uint64()%4) - 1)
+				}
 				for _, opts := range []RunOpts{{}, {CollectWindows: true}} {
 					got, gtr := plan.RunFixed(in, opts)
-					want, wtr := plan.runFixedReference(in, opts)
-					if !reflect.DeepEqual(got.Data(), want.Data()) {
-						t.Fatalf("%s opts=%+v: fixed outputs differ", label, opts)
+					want, wtr := plan.Run(in, opts)
+					for j, v := range want.Data() {
+						if math.Float32bits(got.Data()[j]) != math.Float32bits(v) {
+							t.Fatalf("%s opts=%+v: fixed output[%d] = %v, float %v", label, opts, j, got.Data()[j], v)
+						}
 					}
 					if !reflect.DeepEqual(gtr, wtr) {
-						t.Fatalf("%s opts=%+v: fixed traces differ\n got %+v\nwant %+v", label, opts, gtr, wtr)
+						t.Fatalf("%s opts=%+v: fixed trace differs from float\n got %+v\nwant %+v", label, opts, gtr, wtr)
+					}
+					if wtr.SignZero == 0 || (!exact && wtr.SpecZero == 0) {
+						t.Fatalf("%s: degenerate case, sign %d spec %d terminations", label, wtr.SignZero, wtr.SpecZero)
 					}
 				}
 			})

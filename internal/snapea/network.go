@@ -275,55 +275,27 @@ func (net *Network) CacheAll(img *tensor.Tensor, opts RunOpts) map[string]*tenso
 // end, taking earlier node values from base, and returns the feature
 // vector. base is not modified.
 func (net *Network) ForwardFrom(base map[string]*tensor.Tensor, from string, opts RunOpts, trace *NetTrace) []float32 {
-	nodes := net.Model.Graph.Nodes()
-	start := -1
-	for i, n := range nodes {
-		if n.Name == from {
-			start = i
-			break
-		}
-	}
-	if start < 0 {
+	g := net.Model.Graph
+	if g.Node(from) == nil {
 		panic("snapea: ForwardFrom unknown node " + from)
 	}
-	vals := make(map[string]*tensor.Tensor, len(nodes)+1)
 	exec := net.exec(opts, trace)
-	lookup := func(name string) *tensor.Tensor {
-		if v, ok := vals[name]; ok {
-			return v
+	reached := false
+	cached := func(node *nn.Node, ins []*tensor.Tensor) (*tensor.Tensor, bool) {
+		if reached = reached || node.Name == from; reached {
+			return exec(node, ins)
 		}
-		if v, ok := base[name]; ok {
-			return v
+		v, ok := base[node.Name]
+		if !ok {
+			panic("snapea: ForwardFrom missing value for " + node.Name)
 		}
-		panic("snapea: ForwardFrom missing value for " + name)
+		return v, true
 	}
 	var feat []float32
-	capture := func(name string, t *tensor.Tensor) {
+	g.ForwardExec(base[nn.InputName], func(name string, t *tensor.Tensor) {
 		if name == net.Model.FeatureNode {
-			cp := make([]float32, len(t.Data()))
-			copy(cp, t.Data())
-			feat = cp
+			feat = append([]float32(nil), t.Data()...)
 		}
-	}
-	for i := start; i < len(nodes); i++ {
-		n := nodes[i]
-		ins := make([]*tensor.Tensor, len(n.Inputs))
-		for j, name := range n.Inputs {
-			ins[j] = lookup(name)
-		}
-		out, done := exec(n, ins)
-		if !done {
-			out = n.Layer.Forward(ins)
-		}
-		vals[n.Name] = out
-		capture(n.Name, out)
-	}
-	if feat == nil {
-		// Feature node precedes `from`; take it from the cache.
-		t := lookup(net.Model.FeatureNode)
-		cp := make([]float32, len(t.Data()))
-		copy(cp, t.Data())
-		feat = cp
-	}
+	}, cached)
 	return feat
 }

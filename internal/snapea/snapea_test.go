@@ -2,9 +2,12 @@ package snapea
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"snapea/internal/dataset"
+	"snapea/internal/models"
 	"snapea/internal/nn"
 	"snapea/internal/tensor"
 )
@@ -308,42 +311,76 @@ func TestPredictionStats(t *testing.T) {
 	}
 }
 
-// TestNetworkExactEndToEnd compiles a whole model in exact mode and
-// checks the classifier features are identical to unaltered execution.
+// TestNetworkExactEndToEnd compiles whole models in exact mode — the toy
+// net, AlexNet (grouped convs), GoogLeNet (inception concats, 1×1
+// reduces) and SqueezeNet (fire modules) at reduced scale — and checks
+// the graph output stays within 1e-3 of unaltered dense execution on a
+// (non-negative) dataset image while every model cuts MACs.
 func TestNetworkExactEndToEnd(t *testing.T) {
-	m := buildTestModel(t)
-	img := nonNegInput(m.InputShape, 5)
-	want := m.Graph.Forward(img)
-	net := CompileExact(m)
-	trace := NewNetTrace()
-	got := net.Forward(img, RunOpts{}, trace)
-	if d := got.AbsDiffMax(want); d > 1e-3 {
-		t.Fatalf("exact network diverged: %g", d)
-	}
-	if trace.Reduction() <= 0 {
-		t.Fatalf("exact network should cut MACs, reduction=%g", trace.Reduction())
-	}
-	total, dense := trace.Totals()
-	if total <= 0 || dense <= total {
-		t.Fatalf("bad totals %d/%d", total, dense)
+	for _, name := range []string{"tinynet", "alexnet", "googlenet", "squeezenet"} {
+		t.Run(name, func(t *testing.T) {
+			m, err := models.Build(name, models.Options{Seed: 123})
+			if err != nil {
+				t.Fatal(err)
+			}
+			img := dataset.Generate(1, dataset.Config{HW: m.InputShape.H, Seed: 5})[0].Image
+			want := m.Graph.Forward(img)
+			net := CompileExact(m)
+			trace := NewNetTrace()
+			got := net.Forward(img, RunOpts{}, trace)
+			if d := got.AbsDiffMax(want); d > 1e-3 {
+				t.Fatalf("exact network diverged: %g", d)
+			}
+			if trace.Reduction() <= 0 {
+				t.Fatalf("exact network should cut MACs, reduction=%g", trace.Reduction())
+			}
+			total, dense := trace.Totals()
+			if total <= 0 || dense <= total {
+				t.Fatalf("bad totals %d/%d", total, dense)
+			}
+		})
 	}
 }
 
+// TestForwardFromMatchesForward: recomputing from a node over the exact
+// cache must reproduce a full forward bit for bit, both with the exact
+// plans and after that node's plan turns predictive (the optimizer's use,
+// where only the suffix from the changed layer is rerun).
 func TestForwardFromMatchesForward(t *testing.T) {
 	m := buildTestModel(t)
 	img := nonNegInput(m.InputShape, 6)
 	net := CompileExact(m)
 	cache := net.CacheAll(img, RunOpts{})
-	full := net.Feature(img, RunOpts{}, nil)
-	for _, node := range net.PlanOrder {
-		part := net.ForwardFrom(cache, node, RunOpts{}, nil)
+	exactFeat := net.Feature(img, RunOpts{}, nil)
+	assertSame := func(label string, part, full []float32) {
+		t.Helper()
 		if len(part) != len(full) {
-			t.Fatalf("ForwardFrom(%s): len %d vs %d", node, len(part), len(full))
+			t.Fatalf("%s: len %d vs %d", label, len(part), len(full))
 		}
 		for i := range part {
-			if math.Abs(float64(part[i]-full[i])) > 1e-4 {
-				t.Fatalf("ForwardFrom(%s) diverged at %d", node, i)
+			if math.Float32bits(part[i]) != math.Float32bits(full[i]) {
+				t.Fatalf("%s diverged at %d: %v vs %v", label, i, part[i], full[i])
 			}
 		}
+	}
+	changed := 0
+	for _, node := range net.PlanOrder {
+		assertSame("exact ForwardFrom("+node+")", net.ForwardFrom(cache, node, RunOpts{}, nil), exactFeat)
+
+		exact := net.Plans[node]
+		params := make(LayerParams, exact.Conv.OutC)
+		for k := range params {
+			params[k] = KernelParam{Th: 1, N: 1}
+		}
+		net.Plans[node] = NewLayerPlan(node, exact.Conv, exact.inShape, params, NegByMagnitude)
+		full := net.Feature(img, RunOpts{}, nil)
+		assertSame("predictive ForwardFrom("+node+")", net.ForwardFrom(cache, node, RunOpts{}, nil), full)
+		if !reflect.DeepEqual(full, exactFeat) {
+			changed++
+		}
+		net.Plans[node] = exact
+	}
+	if changed == 0 {
+		t.Fatal("no predictive plan changed the features; the check is vacuous")
 	}
 }

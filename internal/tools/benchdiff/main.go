@@ -17,8 +17,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"sort"
@@ -59,31 +61,43 @@ func load(path string) (map[string]float64, error) {
 }
 
 func main() {
-	baseline := flag.String("baseline", "", "checked-in benchjson baseline (required)")
-	current := flag.String("current", "", "freshly generated benchjson record (required)")
-	benchRe := flag.String("bench", ".", "regexp selecting which benchmarks gate")
-	maxRegress := flag.Float64("max-regress", 10, "max allowed ns/op regression, percent")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command: it parses args, loads both records, compares them,
+// and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	baseline := fs.String("baseline", "", "checked-in benchjson baseline (required)")
+	current := fs.String("current", "", "freshly generated benchjson record (required)")
+	benchRe := fs.String("bench", ".", "regexp selecting which benchmarks gate")
+	maxRegress := fs.Float64("max-regress", 10, "max allowed ns/op regression, percent")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	if *baseline == "" || *current == "" {
-		fmt.Fprintln(os.Stderr, "benchdiff: -baseline and -current are required")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "benchdiff: -baseline and -current are required")
+		return 2
 	}
 	sel, err := regexp.Compile(*benchRe)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchdiff: bad -bench regexp:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "benchdiff: bad -bench regexp:", err)
+		return 2
 	}
 	base, err := load(*baseline)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchdiff:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "benchdiff:", err)
+		return 2
 	}
 	cur, err := load(*current)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchdiff:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "benchdiff:", err)
+		return 2
 	}
-
 	names := make([]string, 0, len(base))
 	for name := range base {
 		if sel.MatchString(name) {
@@ -94,23 +108,28 @@ func main() {
 	}
 	sort.Strings(names)
 	if len(names) == 0 {
-		fmt.Fprintf(os.Stderr, "benchdiff: no benchmarks matching %q present in both records\n", *benchRe)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "benchdiff: no benchmarks matching %q present in both records\n", *benchRe)
+		return 2
 	}
+	if compare(base, cur, names, *maxRegress, stdout) {
+		fmt.Fprintf(stderr, "benchdiff: regression over %.1f%% against %s\n", *maxRegress, *baseline)
+		return 1
+	}
+	return 0
+}
 
-	failed := false
+// compare prints one verdict line per named benchmark and reports
+// whether any regressed by more than maxRegress percent.
+func compare(base, cur map[string]float64, names []string, maxRegress float64, w io.Writer) (failed bool) {
 	for _, name := range names {
 		b, c := base[name], cur[name]
 		delta := (c/b - 1) * 100
 		verdict := "ok"
-		if delta > *maxRegress {
+		if delta > maxRegress {
 			verdict = "REGRESSION"
 			failed = true
 		}
-		fmt.Printf("%-55s %12.0f -> %12.0f ns/op  %+6.1f%%  %s\n", name, b, c, delta, verdict)
+		fmt.Fprintf(w, "%-55s %12.0f -> %12.0f ns/op  %+6.1f%%  %s\n", name, b, c, delta, verdict)
 	}
-	if failed {
-		fmt.Fprintf(os.Stderr, "benchdiff: regression over %.1f%% against %s\n", *maxRegress, *baseline)
-		os.Exit(1)
-	}
+	return failed
 }
